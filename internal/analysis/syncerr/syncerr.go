@@ -51,7 +51,6 @@ var targets = []target{
 	{"internal/wal", "Manager", "Checkpoint"},
 	{"internal/wal", "Manager", "Close"},
 	{"internal/wal", "Manager", "flushEpoch"},
-	{"internal/wal", "Manager", "syncStores"},
 	{"internal/wal", "Ticket", "Wait"},
 }
 

@@ -166,17 +166,11 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 			return core.ErrTimeout
 		}
 		start := time.Now()
-		timer := time.NewTimer(remain)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-blocked.Done():
-			timer.Stop()
-		case <-timer.C:
-			r.env.Report(t, blocked, start, time.Now())
-			return core.ErrTimeout
-		}
+		err := t.Await(blocked, ch, blocked.Done(), remain)
 		r.env.Report(t, blocked, start, time.Now())
+		if err != nil {
+			return err
+		}
 	}
 }
 

@@ -41,21 +41,22 @@ const DefaultBatchSize = 64
 const DefaultBatchAge = 2 * time.Millisecond
 
 // marks carries the anti-dependency flags of one batch (or of one
-// transaction when SSI runs unbatched), plus a count of committed members:
-// once a member has committed the batch can no longer be aborted, so a
-// transaction that would turn it into a pivot must abort itself instead
-// (Cahill-style SSI at batch granularity).
+// transaction when SSI runs unbatched), plus a count of validated members:
+// once a member has passed validation it goes on to commit without another
+// check, so the batch can no longer be aborted, and a transaction that would
+// turn it into a pivot must abort itself instead (Cahill-style SSI at batch
+// granularity).
 type marks struct {
 	in        atomic.Bool
 	out       atomic.Bool
-	committed atomic.Int32
+	validated atomic.Int32
 }
 
 func (m *marks) pivot() bool { return m.in.Load() && m.out.Load() }
 
-// immutable reports that some member already committed, so aborting this
-// batch is no longer possible.
-func (m *marks) immutable() bool { return m.committed.Load() > 0 }
+// immutable reports that some member already passed validation, so aborting
+// this batch is no longer possible.
+func (m *marks) immutable() bool { return m.validated.Load() > 0 }
 
 // batch groups same-child transactions under one start timestamp.
 type batch struct {
@@ -73,6 +74,12 @@ type SSI struct {
 	optimized bool
 	batchSize int
 	batchAge  time.Duration
+
+	// validateMu serializes Validate, so of two concurrent validators
+	// the second sees the first as validated (see Validate). Validate
+	// takes chain locks under it; it is never taken under one.
+	// tebaldi:locks order ssi.SSI.validateMu < core.Chain
+	validateMu sync.Mutex
 
 	mu      sync.Mutex
 	current map[*core.Node]*batch // per-child current batch (batched mode)
@@ -92,6 +99,9 @@ type slot struct {
 	// Validate rescans them so anti-dependencies to writers that
 	// committed after the read are not missed.
 	readChains []*core.Chain
+	// validated is set once the transaction passed Validate; other
+	// validators then treat its pending versions as committed.
+	validated atomic.Bool
 }
 
 func (s *slot) flags() *marks {
@@ -262,14 +272,17 @@ func (s *SSI) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 			// The same-group exemption applies only to PENDING
 			// versions: those conflicts are the descendant's to
 			// regulate, surfaced through the proposal.
-			if s.sameGroup(t, v.Writer) || s.optimized {
+			if s.sameGroup(t, v.Writer) {
 				continue
 			}
-			if cts := v.Writer.CommitTS(); cts != 0 && cts <= sl.snapTS {
-				// The writer is mid-commit with a timestamp our
-				// snapshot must include: wait for it to finish,
-				// then re-run the read.
+			if v.Writer.CommittingBy(sl.snapTS) {
+				// The writer is mid-commit and its timestamp may
+				// fall inside our snapshot: wait for it to
+				// finish, then re-run the read.
 				return nil, &core.WaitFor{V: v}
+			}
+			if s.optimized {
+				continue
 			}
 			if s.node.InSubtree(v.Writer) {
 				// A concurrent pending write this snapshot will
@@ -413,11 +426,18 @@ func (s *SSI) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 // committed after they were read (completing out-edges whose writers were
 // still pending at read time), then abort pivots — groups with both an
 // incoming and an outgoing anti-dependency (§4.4.3).
+//
+// Validations are serialized, and a writer that passed validation counts as
+// committed in the rescan: it commits without another check, after our
+// snapshot. Otherwise two transactions validating at once could each see the
+// other's write as pending and both commit a write skew.
 func (s *SSI) Validate(t *core.Txn) error {
 	if s.optimized {
 		return nil
 	}
 	sl := s.slotOf(t)
+	s.validateMu.Lock()
+	defer s.validateMu.Unlock()
 	for _, ch := range sl.readChains {
 		ch.Lock()
 		var err error
@@ -425,10 +445,11 @@ func (s *SSI) Validate(t *core.Txn) error {
 			if v.Writer == t || v.Promise {
 				continue
 			}
-			if v.Pending() {
+			pending := v.Pending()
+			if pending && !s.validatedHere(v.Writer) {
 				continue
 			}
-			if v.CommitTS() > sl.snapTS {
+			if pending || v.CommitTS() > sl.snapTS {
 				if s.node.SameChild(t, v.Writer) {
 					err = core.ErrConflict
 					break
@@ -446,7 +467,18 @@ func (s *SSI) Validate(t *core.Txn) error {
 	if sl.flags().pivot() {
 		return core.ErrPivot
 	}
+	sl.validated.Store(true)
+	sl.flags().validated.Add(1)
 	return nil
+}
+
+// validatedHere reports whether w passed Validate at this node.
+func (s *SSI) validatedHere(w *core.Txn) bool {
+	if !s.node.InSubtree(w) {
+		return false
+	}
+	ws := s.slotOf(w)
+	return ws != nil && ws.validated.Load()
 }
 
 // SnapshotLowerBound reports the oldest snapshot any current (or future,
@@ -474,14 +506,8 @@ func (s *SSI) release(t *core.Txn) {
 	}
 }
 
-// Commit implements core.CC: record that the batch now has a committed
-// member (it can no longer be chosen as a pivot victim).
-func (s *SSI) Commit(t *core.Txn) {
-	if sl := s.slotOf(t); sl != nil && !s.optimized {
-		sl.flags().committed.Add(1)
-	}
-	s.release(t)
-}
+// Commit implements core.CC.
+func (s *SSI) Commit(t *core.Txn) { s.release(t) }
 
 // Abort implements core.CC.
 func (s *SSI) Abort(t *core.Txn) { s.release(t) }

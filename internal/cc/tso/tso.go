@@ -14,6 +14,11 @@
 // version block until the value arrives instead of eventually aborting the
 // writer.
 //
+// A leaf below the root commits its transactions in timestamp order: its
+// parent orders groups by what committed first (lock release, snapshots), so
+// a younger transaction committing before an older one it follows in
+// timestamp order would let the parent invert the group's order.
+//
 // As a non-leaf, TSO preserves consistent ordering by batching: transactions
 // of the same child share a timestamp, their in-batch order is delegated to
 // the child, and batches commit in timestamp order. As in the paper, TSO is
@@ -22,6 +27,7 @@
 package tso
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -54,6 +60,10 @@ type TSO struct {
 	// order is the live batch list in ascending timestamp order, used to
 	// commit batches in timestamp order.
 	order []*batch
+	// live lists the unfinished transactions of a leaf below the root, and
+	// last the largest timestamp that began there (see Begin).
+	live []*core.Txn
+	last uint64
 }
 
 type slot struct {
@@ -118,6 +128,28 @@ func (o *TSO) Begin(t *core.Txn) error {
 	s := &slot{}
 	if len(o.node.Children) == 0 {
 		s.ts = t.BeginTS
+		if o.node.Parent != nil {
+			o.mu.Lock()
+			if s.ts < o.last {
+				// A younger transaction began first: this one
+				// could not commit after it. Retry with a later
+				// timestamp.
+				o.mu.Unlock()
+				return core.ErrConflict
+			}
+			o.last = s.ts
+			// Commit after every older unfinished transaction:
+			// the engine's dependency wait enforces the edges.
+			// Only read edges can fail.
+			for _, u := range o.live {
+				_ = t.AddDep(u, false)
+			}
+			// The list retains the pointer for younger
+			// transactions' dependencies.
+			t.MarkShared()
+			o.live = append(o.live, t)
+			o.mu.Unlock()
+		}
 	} else {
 		child := o.node.ChildFor(t)
 		o.mu.Lock()
@@ -179,14 +211,17 @@ func (o *TSO) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 	var best *core.Version
 	var bestTS uint64
 	consider := func(v *core.Version) {
-		if v == nil || v.Writer == t {
+		if v == nil || v.Writer == t || v.Writer.State() == core.Aborted {
 			return
 		}
 		ts := o.orderTS(v)
 		if ts == 0 || ts >= s.ts {
 			return
 		}
-		if best == nil || ts > bestTS {
+		// Versions of one batch share its timestamp; the child
+		// serialized their writers in install order, so among equal
+		// timestamps the later-installed version is the newer one.
+		if best == nil || ts >= bestTS {
 			best, bestTS = v, ts
 		}
 	}
@@ -212,9 +247,11 @@ func (o *TSO) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 }
 
 // PostWrite implements core.CC: stamp the version with the writer's TSO
-// timestamp, apply the read-timestamp rule (abort if a larger-timestamped
-// reader already read the version this write supersedes), and record
-// write-write ordering on smaller-timestamped pending versions.
+// timestamp, apply the write-too-late rule (abort if another group already
+// installed a larger-timestamped version) and the read-timestamp rule (abort
+// if a larger-timestamped reader already read the version this write
+// supersedes), and record write-write ordering on smaller-timestamped
+// pending versions.
 func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version) error {
 	s := o.slotOf(t)
 	if v.TS == 0 {
@@ -235,7 +272,22 @@ func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 			continue
 		}
 		ts := o.orderTS(old)
-		if ts == 0 || ts >= v.TS {
+		if ts == 0 {
+			continue
+		}
+		if ts > v.TS {
+			// A later-ordered version is already installed. Slotting
+			// v beneath it would let v's writer commit after it, so
+			// commit-timestamp order (latest-committed reads,
+			// snapshots, checkpoints, recovery) would disagree with
+			// TSO order. Versions of aborted writers are on their
+			// way out and do not count.
+			if old.Writer.State() != core.Aborted {
+				return core.ErrConflict
+			}
+			continue
+		}
+		if ts == v.TS {
 			continue
 		}
 		// old precedes v, so any reader of old with a timestamp above
@@ -334,6 +386,13 @@ func (o *TSO) finish(t *core.Txn) {
 		p.ch.Unlock()
 	}
 	s.promises = nil
+	if len(o.node.Children) == 0 && o.node.Parent != nil {
+		o.mu.Lock()
+		if i := slices.Index(o.live, t); i >= 0 {
+			o.live = slices.Delete(o.live, i, i+1)
+		}
+		o.mu.Unlock()
+	}
 	if s.batch != nil {
 		o.mu.Lock()
 		s.batch.active--

@@ -4,6 +4,7 @@
 package tso_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -206,5 +207,123 @@ func TestUnfulfilledPromiseRemovedOnAbort(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteTooLate: a writer whose timestamp is below an already-installed
+// version of the key aborts (retryably). Installing beneath it would let the
+// older writer commit after the younger one, so commit order, which
+// latest-committed reads, snapshots and recovery use, would disagree with
+// timestamp order.
+func TestWriteTooLate(t *testing.T) {
+	db := openTSO(t)
+	k := tebaldi.K("t", "x")
+	db.Load(k, []byte("old"))
+
+	early, err := db.Begin("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := db.Begin("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Write(k, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	err = early.Write(k, []byte("early"))
+	if err == nil {
+		t.Fatal("older write installed beneath a younger version")
+	}
+	if !tebaldi.IsRetryable(err) {
+		t.Fatalf("write-too-late abort not retryable: %v", err)
+	}
+	if err := late.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v := db.ReadCommitted(k); string(v) != "late" {
+		t.Fatalf("latest committed value %q, want \"late\"", v)
+	}
+}
+
+// TestLeafBelowRootCommitsInTimestampOrder: under a parent, a TSO leaf
+// commits in timestamp order, so the parent, which orders groups by what
+// committed first, cannot invert the leaf's order. A younger transaction's
+// commit waits for an older one still running.
+func TestLeafBelowRootCommitsInTimestampOrder(t *testing.T) {
+	specs := []*tebaldi.Spec{
+		{Name: "w", Tables: []string{"t"}, WriteTables: []string{"t"}},
+		{Name: "v", Tables: []string{"t"}, WriteTables: []string{"t"}},
+	}
+	db, err := tebaldi.Open(tebaldi.Options{Shards: 4, LockTimeout: 2 * time.Second}, specs,
+		tebaldi.Inner(tebaldi.TwoPL, tebaldi.Leaf(tebaldi.TSO, "w"), tebaldi.Leaf(tebaldi.TwoPL, "v")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	older, err := db.Begin("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	younger, err := db.Begin("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := younger.Write(tebaldi.K("t", "y"), []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- younger.Commit() }()
+	select {
+	case err := <-done:
+		t.Fatalf("younger committed while an older transaction ran (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := older.Write(tebaldi.K("t", "o"), []byte("o")); err != nil {
+		t.Fatal(err)
+	}
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRetriesErrorFromAbortedWrite: TSO lets a transaction read an
+// uncommitted write. If the transaction function fails on such a value and
+// its writer then aborts, the failure came from a state that never
+// committed: Run retries the transaction instead of returning the error.
+func TestRunRetriesErrorFromAbortedWrite(t *testing.T) {
+	db := openTSO(t)
+	k := tebaldi.K("t", "x")
+	db.Load(k, []byte("old"))
+
+	writer, err := db.Begin("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Write(k, []byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	errDoomed := errors.New("read a value that must not exist")
+	attempts := 0
+	err = db.Run("w", 0, func(tx *tebaldi.Tx) error {
+		attempts++
+		v, err := tx.Read(k)
+		if err != nil {
+			return err
+		}
+		if string(v) == "doomed" {
+			writer.Rollback(nil)
+			return errDoomed
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run returned %v, want a retry that succeeds", err)
+	}
+	if attempts != 2 {
+		t.Fatalf("%d attempts, want 2", attempts)
 	}
 }

@@ -85,23 +85,31 @@ func (p *TwoPL) PreWrite(t *core.Txn, k core.Key) error {
 
 // AmendRead implements core.CC. 2PL accepts the child's proposal if it is an
 // uncommitted value from the reader's own child subtree (delegated conflict);
-// otherwise it returns the latest committed version — correct because the
-// shared lock guarantees no conflicting non-exempt writer is active.
+// otherwise it returns the latest committed version outside the reader's
+// child, or the child's committed proposal if that is newer — correct because
+// the shared lock guarantees no conflicting non-exempt writer is active.
 func (p *TwoPL) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.Version) (*core.Version, error) {
 	if proposal != nil && proposal.Pending() && p.node.SameChild(t, proposal.Writer) {
 		return proposal, nil
 	}
-	// Choose the latest committed version among those this node (or a
-	// descendant) regulates, or keep a newer committed proposal.
+	// Choose the latest committed version, or keep a newer committed
+	// proposal. When the child proposed a version, committed versions of
+	// the reader's own child are the child's to order: a timestamp-ordered
+	// child may have placed the reader before a same-child write that
+	// committed earlier in real time.
 	best := proposal
 	if best != nil && best.Pending() {
 		// A pending proposal from a non-same-child subtree cannot
 		// exist under our lock; defensively fall back to committed.
 		best = nil
 	}
-	if lc := ch.LatestCommitted(); lc != nil {
-		if best == nil || lc.CommitTS() >= best.CommitTS() {
-			best = lc
+	childChose := proposal != nil
+	for _, v := range ch.Versions() {
+		if !v.Committed() || childChose && p.node.SameChild(t, v.Writer) {
+			continue
+		}
+		if best == nil || v.CommitTS() >= best.CommitTS() {
+			best = v
 		}
 	}
 	return best, nil

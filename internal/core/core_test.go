@@ -117,6 +117,90 @@ func TestWaitDepsOrderDepAbortIgnored(t *testing.T) {
 	}
 }
 
+// blockingOracle hands out Next only when the test releases it, freezing a
+// committer between raising its committing flag and drawing its timestamp.
+type blockingOracle struct {
+	release chan uint64
+}
+
+func (o *blockingOracle) Next() uint64 { return <-o.release }
+func (o *blockingOracle) Last() uint64 { return 0 }
+
+// TestCommittingByCoversTimestampDraw: a snapshot reader must treat a writer
+// as possibly inside its snapshot from the moment the writer starts drawing
+// its commit timestamp, not only once the timestamp is published; otherwise
+// a snapshot taken just after the draw skips the still-pending version.
+func TestCommittingByCoversTimestampDraw(t *testing.T) {
+	w := NewTxn(1, "w", 0, 1)
+	if w.CommittingBy(100) {
+		t.Fatal("an executing writer reported as committing")
+	}
+	o := &blockingOracle{release: make(chan uint64)}
+	done := make(chan bool)
+	go func() {
+		_, ok := w.MarkCommittedNext(o)
+		done <- ok
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for !w.CommittingBy(100) {
+		if time.Now().After(deadline) {
+			t.Fatal("writer inside its timestamp draw not reported as committing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	o.release <- 50
+	if !<-done {
+		t.Fatal("commit failed")
+	}
+	if w.CommittingBy(40) {
+		t.Fatal("commit timestamp 50 reported inside snapshot 40")
+	}
+}
+
+// TestAwaitBreaksWaitCycleAtYoungest: two transactions waiting on each other
+// deadlock; the younger one (larger ID) gives up with a retryable conflict at
+// once, whichever of them closed the cycle, and the older one keeps waiting.
+func TestAwaitBreaksWaitCycleAtYoungest(t *testing.T) {
+	for _, youngerFirst := range []bool{true, false} {
+		old, young := NewTxn(1, "a", 0, 1), NewTxn(2, "b", 0, 2)
+		oldDone, youngDone := make(chan struct{}), make(chan struct{})
+		first, second := old, young
+		firstOn, secondOn := young, old
+		firstCh, secondCh := youngDone, oldDone
+		if youngerFirst {
+			first, second = young, old
+			firstOn, secondOn = old, young
+			firstCh, secondCh = oldDone, youngDone
+		}
+		errs := make(chan error, 2)
+		go func() { errs <- first.Await(firstOn, firstCh, nil, 10*time.Second) }()
+		for first.waitsFor.Load() == nil { // the first wait publishes its edge
+			time.Sleep(time.Millisecond)
+		}
+		go func() { errs <- second.Await(secondOn, secondCh, nil, 10*time.Second) }()
+		start := time.Now()
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrConflict) {
+				t.Fatalf("youngerFirst=%v: first wait to end got %v, want ErrConflict", youngerFirst, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("youngerFirst=%v: wait cycle not broken", youngerFirst)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("youngerFirst=%v: cycle took %v to break", youngerFirst, d)
+		}
+		if young.DeadlockVictim() || old.DeadlockVictim() {
+			t.Fatalf("youngerFirst=%v: the victim's wait edge was not retracted", youngerFirst)
+		}
+		// The victim aborts, which releases the older waiter.
+		close(youngDone)
+		if err := <-errs; err != nil {
+			t.Fatalf("youngerFirst=%v: older waiter got %v, want nil", youngerFirst, err)
+		}
+	}
+}
+
 func committedVersion(id uint64, ts uint64, val byte) *Version {
 	w := NewTxn(id, "w", 0, 0)
 	w.MarkCommitted(ts)
@@ -218,9 +302,9 @@ func TestChainGC(t *testing.T) {
 	c.Unlock()
 	// Watermark 55: newest committed <= 55 has ts 50; everything older
 	// is reclaimable.
-	pruned := c.GC(55)
-	if pruned != 4 {
-		t.Fatalf("pruned %d, want 4", pruned)
+	pruned, remaining := c.GCStep(55)
+	if pruned != 4 || remaining != 6 {
+		t.Fatalf("pruned %d remaining %d, want 4 and 6", pruned, remaining)
 	}
 	c.Lock()
 	defer c.Unlock()
@@ -254,7 +338,7 @@ func TestChainGCPreservesSnapshotsProperty(t *testing.T) {
 		}
 		before := c.LatestCommittedBefore(snap)
 		c.Unlock()
-		c.GC(watermark)
+		c.GCStep(watermark)
 		c.Lock()
 		after := c.LatestCommittedBefore(snap)
 		c.Unlock()

@@ -83,6 +83,8 @@ type WriteRef struct {
 //   - engine.Engine.loadVersion: bulk load installs versions outside any CC
 //     tree, so the synthetic writer is marked at construction. (This one was
 //     missing from the hand-maintained list — the analyzer found it.)
+//   - tso.TSO.Begin: a TSO leaf below the root lists its unfinished
+//     transactions, which younger ones wait on to commit in timestamp order.
 //
 // All escapes happen on the owner goroutine before the pointer is published,
 // so the flag check at finish time is race-free. Read-only transactions under
@@ -113,6 +115,12 @@ type Txn struct {
 	state    atomic.Int32
 	commitTS atomic.Uint64
 	shared   atomic.Bool
+	// committing is set just before the commit timestamp is drawn, so a
+	// snapshot reader can tell a writer that may land inside its snapshot
+	// from one that cannot (see CommittingBy).
+	committing atomic.Bool
+	// waitsFor is the transaction t is blocked on, if any (see Await).
+	waitsFor atomic.Pointer[Txn]
 
 	// mu guards done/deps/writes. It may be taken while a chain mutex is
 	// held (AddDep under the reader's chain lock; Mark*→wake under test
@@ -180,6 +188,8 @@ func PutTxn(t *Txn) bool {
 	t.Slots = t.Slots[:0]
 	t.state.Store(int32(Active))
 	t.commitTS.Store(0)
+	t.committing.Store(false)
+	t.waitsFor.Store(nil)
 	t.done = nil
 	clear(t.deps)
 	t.writes = t.writes[:0]
@@ -233,10 +243,11 @@ func (t *Txn) wake() {
 func (t *Txn) Finished() bool { return t.State() != Active }
 
 // MarkCommittedNext draws the commit timestamp from the oracle and publishes
-// it in one breath, minimizing the window in which a reader's snapshot can
-// postdate the timestamp while the version still looks pending (see SSI's
-// committing-version wait).
+// it in one breath. The committing flag goes up before the draw, so a reader
+// whose snapshot postdates the timestamp always sees either the flag or the
+// committed state (see CommittingBy).
 func (t *Txn) MarkCommittedNext(o Oracle) (uint64, bool) {
+	t.committing.Store(true)
 	ts := o.Next()
 	t.commitTS.Store(ts)
 	if !t.state.CompareAndSwap(int32(Active), int32(Committed)) {
@@ -245,6 +256,17 @@ func (t *Txn) MarkCommittedNext(o Oracle) (uint64, bool) {
 	}
 	t.wake()
 	return ts, true
+}
+
+// CommittingBy reports whether t may take, or has taken, a commit timestamp
+// at or below ts; a snapshot at ts must wait for such a writer. While the
+// flag is down, t's timestamp will be drawn after this call, above ts.
+func (t *Txn) CommittingBy(ts uint64) bool {
+	if !t.committing.Load() {
+		return false
+	}
+	c := t.commitTS.Load()
+	return c == 0 || c <= ts
 }
 
 // MarkCommitted transitions Active -> Committed with the given commit
@@ -366,6 +388,63 @@ func (t *Txn) WaitDeps(timeout time.Duration) error {
 			return nil
 		}
 	}
+}
+
+// maxWaitChain bounds the waits-for walk in DeadlockVictim; a longer chain
+// is left to the wait's timeout.
+const maxWaitChain = 64
+
+// deadlockPoll is how often a blocked transaction re-checks whether its wait
+// closed a waits-for cycle.
+const deadlockPoll = 5 * time.Millisecond
+
+// Await blocks t until a or b is closed (b may be nil) on behalf of other,
+// the transaction that must finish or release something first. other must
+// already be shared (lock owners and dependencies are). While t waits, the
+// edge t -> other is published for DeadlockVictim. Await fails with
+// ErrTimeout after timeout, and with ErrConflict (retryable) once t is the
+// victim of a waits-for cycle, which would otherwise hold every member until
+// the timeout.
+func (t *Txn) Await(other *Txn, a, b <-chan struct{}, timeout time.Duration) error {
+	t.waitsFor.Store(other)
+	defer t.waitsFor.Store(nil)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	poll := time.NewTicker(deadlockPoll)
+	defer poll.Stop()
+	for {
+		// Edges are published before the walk, so the youngest
+		// member of a cycle sees it by its next poll at the latest.
+		if t.DeadlockVictim() {
+			return ErrConflict
+		}
+		select {
+		case <-a:
+			return nil
+		case <-b:
+			return nil
+		case <-timer.C:
+			return ErrTimeout
+		case <-poll.C:
+		}
+	}
+}
+
+// DeadlockVictim reports whether t's published wait closes a waits-for cycle
+// in which t is the youngest member (largest ID). Only that member gives up,
+// so one abort breaks the cycle.
+func (t *Txn) DeadlockVictim() bool {
+	w := t.waitsFor.Load()
+	for i := 0; w != nil && i < maxWaitChain; i++ {
+		if w == t {
+			return true
+		}
+		if w.ID > t.ID {
+			return false
+		}
+		w = w.waitsFor.Load()
+	}
+	return false
 }
 
 // AddWrite records an installed (still uncommitted) version. The version

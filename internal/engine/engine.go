@@ -24,6 +24,12 @@ type Engine struct {
 	prof   *profiler.Profiler
 	env    *core.Env
 	walMgr *wal.Manager
+	// walMu drains committers before the WAL closes. A committer holds
+	// the read side from its precommit records to its commit (or abort)
+	// record; Close holds the write side while closing the WAL, so no
+	// committer is ever left with staged precommits and a closed WAL, and
+	// later committers find the WAL closed and abort.
+	walMu sync.RWMutex
 
 	specMu sync.RWMutex
 	specs  map[string]*core.Spec
@@ -245,7 +251,8 @@ func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 		}
 		// Pooled transaction: Path/Slots keep their backing arrays from a
 		// previous life (see core.PutTxn's reclamation rule).
-		t = core.GetTxn(e.txnSeq.Add(1), typ, part, e.oracle.Next())
+		// BeginTS is drawn by register.
+		t = core.GetTxn(e.txnSeq.Add(1), typ, part, 0)
 		t.Path = e.tree.Root.AppendPath(t, t.Path)
 		if cap(t.Slots) >= len(t.Path) {
 			t.Slots = t.Slots[:len(t.Path)]
@@ -279,6 +286,11 @@ func (e *Engine) RunTxn(typ string, part uint64, fn func(*Tx) error) error {
 			if err == nil {
 				err = tx.Commit()
 			} else {
+				if !core.IsRetryable(err) && tx.readFromAborted() {
+					// fn failed on data a since-aborted writer
+					// never committed: retry, not a real failure.
+					err = core.ErrCascade
+				}
 				tx.Rollback(err)
 			}
 		}
@@ -297,9 +309,13 @@ func (e *Engine) RunTxn(typ string, part uint64, fn func(*Tx) error) error {
 	}
 }
 
+// register publishes t as active and draws its begin timestamp under the
+// registry lock, so a Watermark scan that misses t started before the draw
+// (see Watermark).
 func (e *Engine) register(t *core.Txn) {
 	s := &e.active[t.ID%64]
 	s.mu.Lock()
+	t.BeginTS = e.oracle.Next()
 	//lint:allow poolescape -- the active registry is mu-guarded and unregister removes the entry before release/PutTxn, so no reference survives into the next pool life
 	s.txns[t.ID] = t
 	s.mu.Unlock()
@@ -345,8 +361,12 @@ func (e *Engine) ActiveTxns() int { return e.activeCount(nil) }
 // timestamps and the CC tree's open batch snapshots (an SSI/TSO batch
 // snapshot can predate every active transaction's begin). It is the GC
 // horizon and the reader-record pruning bound.
+//
+// The oracle is read before the scan: register draws a begin timestamp under
+// the registry lock, so a transaction the scan misses began after this read,
+// above the returned bound.
 func (e *Engine) Watermark() uint64 {
-	wm := uint64(math.MaxUint64)
+	wm := e.oracle.Last()
 	e.forEachActive(func(t *core.Txn) {
 		if t.BeginTS < wm {
 			wm = t.BeginTS
@@ -358,9 +378,6 @@ func (e *Engine) Watermark() uint64 {
 				wm = b
 			}
 		}
-	}
-	if wm == math.MaxUint64 {
-		return e.oracle.Last()
 	}
 	return wm
 }
@@ -486,7 +503,9 @@ func (e *Engine) ReadCommitted(k core.Key) []byte {
 	return nil
 }
 
-// Close stops background services and flushes the WAL.
+// Close stops background services, waits for committers already staging
+// WAL records, and closes the WAL; on a durable engine, a writing
+// transaction that reaches its commit after Close aborts with wal.ErrClosed.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -500,6 +519,8 @@ func (e *Engine) Close() error {
 		<-e.gcDone
 	}
 	if e.walMgr != nil {
+		e.walMu.Lock()
+		defer e.walMu.Unlock()
 		return e.walMgr.Close()
 	}
 	return nil

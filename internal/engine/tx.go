@@ -158,17 +158,19 @@ func (tx *Tx) readLeaf(n *core.Node, k core.Key, ch *core.Chain) ([]byte, error)
 }
 
 // finishRead extracts the value from an accepted proposal and records the
-// cascading read-from dependency if the version is still pending. Called
+// cascading read-from dependency if the writer has not committed. Called
 // with the chain lock held and leaves it held; the caller unlocks and turns
 // a non-nil error into an abort.
 func finishRead(t *core.Txn, proposal *core.Version) ([]byte, error) {
 	if proposal == nil {
 		return nil, nil
 	}
-	if proposal.Pending() && proposal.Writer != t {
+	if proposal.Writer != t && !proposal.Committed() {
 		// Read-from an uncommitted version: record the cascading
 		// dependency while the chain is locked, so an abort of the
-		// writer cannot slip in between.
+		// writer cannot slip in between. A writer that already
+		// aborted (its versions not yet removed) fails the read with
+		// ErrCascade.
 		if err := t.AddDep(proposal.Writer, true); err != nil {
 			return nil, err
 		}
@@ -192,16 +194,12 @@ func (tx *Tx) waitVersion(v *core.Version, deadline *time.Time) error {
 		waitCh = v.Writer.Done()
 	}
 	start := time.Now()
-	timer := time.NewTimer(remain)
-	select {
-	case <-waitCh:
-		timer.Stop()
-		tx.e.env.Report(tx.t, v.Writer, start, time.Now())
-		return nil
-	case <-timer.C:
-		tx.e.env.Report(tx.t, v.Writer, start, time.Now())
-		return tx.abortWith(core.ErrTimeout)
+	err := tx.t.Await(v.Writer, waitCh, nil, remain)
+	tx.e.env.Report(tx.t, v.Writer, start, time.Now())
+	if err != nil {
+		return tx.abortWith(err)
 	}
+	return nil
 }
 
 // Write installs (or overwrites) the transaction's version of k.
@@ -311,48 +309,56 @@ func (tx *Tx) Commit() error {
 	// record (§4.5.4). Staging is asynchronous — records from concurrent
 	// committers coalesce into one append+flush per appender turn — so
 	// the log never serializes the commit path; under SyncCommit the
-	// wait happens inside walMgr.Commit, on the whole batch's single
-	// fsync.
-	var epoch uint64
-	var ticket *wal.Ticket
-	var walShards []int
-	if tx.e.walMgr != nil {
-		byShard := map[int][]wal.KV{}
+	// wait is ticket.Wait below, on the whole batch's single fsync,
+	// after the CC tree has released its state.
+	var byShard map[int][]wal.KV
+	if tx.e.walMgr != nil && len(t.Writes()) > 0 {
+		byShard = map[int][]wal.KV{}
 		for _, w := range t.Writes() {
 			// Chain.Shard is memoized at creation; no re-hash per write.
 			byShard[w.Chain.Shard] = append(byShard[w.Chain.Shard], wal.KV{Key: w.Chain.Key, Value: w.V.Value})
 		}
-		if len(byShard) > 0 {
-			var err error
-			epoch, ticket, err = tx.e.walMgr.Precommit(t.ID, byShard)
-			if err != nil {
-				return tx.abortWith(fmt.Errorf("%w: wal: %v", core.ErrAborted, err))
-			}
+	}
+	var ticket *wal.Ticket
+	var commitTS uint64
+	ok := true
+	if len(byShard) > 0 {
+		// Close waits on walMu until the commit or abort record is
+		// staged; once the WAL is closed, Precommit fails and the
+		// transaction aborts before its commit point.
+		tx.e.walMu.RLock()
+		var epoch uint64
+		var err error
+		epoch, ticket, err = tx.e.walMgr.Precommit(t.ID, byShard)
+		if err != nil {
+			tx.e.walMu.RUnlock()
+			return tx.abortWith(fmt.Errorf("%w: %w", core.ErrAborted, err))
+		}
+		if commitTS, ok = t.MarkCommittedNext(tx.e.oracle); ok {
+			// The transaction is already committed in memory; an append
+			// failure means durability (not atomicity) is at risk. The
+			// WAL batch observer counts every failed flush exactly once
+			// into stats.walErrors — counting again here would tally one
+			// batch error once per coalesced committer.
+			//lint:allow syncerr -- flush failures are tallied once per batch by the WAL observer into stats.walErrors; per-committer checks would double-count
+			tx.e.walMgr.Commit(t.ID, commitTS, epoch, ticket)
+		} else {
+			// Force-aborted while committing. The staged precommit
+			// records will never get a commit record; stage abort
+			// markers so checkpoint compaction can reclaim them
+			// (recovery discards the transaction either way).
+			shards := make([]int, 0, len(byShard))
 			for sh := range byShard {
-				walShards = append(walShards, sh)
+				shards = append(shards, sh)
 			}
+			tx.e.walMgr.Abort(t.ID, shards)
 		}
+		tx.e.walMu.RUnlock()
+	} else {
+		commitTS, ok = t.MarkCommittedNext(tx.e.oracle)
 	}
-
-	commitTS, ok := t.MarkCommittedNext(tx.e.oracle)
 	if !ok {
-		// Force-aborted while committing. The staged precommit records
-		// will never get a commit record; stage abort markers so
-		// checkpoint compaction can reclaim them (recovery discards the
-		// transaction either way).
-		if ticket != nil {
-			tx.e.walMgr.Abort(t.ID, walShards)
-		}
 		return tx.abortWith(core.ErrReconfiguring)
-	}
-	if ticket != nil {
-		// The transaction is already committed in memory; an append
-		// failure means durability (not atomicity) is at risk. The WAL
-		// batch observer counts every failed flush exactly once into
-		// stats.walErrors — counting again here would tally one batch
-		// error once per coalesced committer.
-		//lint:allow syncerr -- flush failures are tallied once per batch by the WAL observer into stats.walErrors; per-committer checks would double-count
-		tx.e.walMgr.Commit(t.ID, commitTS, epoch, ticket)
 	}
 
 	// Commit phase, chained leaf -> root, uninterrupted.
@@ -414,15 +420,11 @@ func (tx *Tx) waitDeps() error {
 				return core.ErrTimeout
 			}
 			start := time.Now()
-			timer := time.NewTimer(remain)
-			select {
-			case <-d.T.Done():
-				timer.Stop()
-			case <-timer.C:
-				tx.e.env.Report(t, d.T, start, time.Now())
-				return core.ErrTimeout
-			}
+			err := t.Await(d.T, d.T.Done(), nil, remain)
 			tx.e.env.Report(t, d.T, start, time.Now())
+			if err != nil {
+				return err
+			}
 			if d.T.State() == core.Aborted && d.Read {
 				return core.ErrCascade
 			}
@@ -431,6 +433,33 @@ func (tx *Tx) waitDeps() error {
 			return nil
 		}
 	}
+}
+
+// readFromAborted waits, up to the lock timeout, for the writers of the
+// uncommitted versions the transaction read, and reports whether one of them
+// aborted. Mechanisms that expose uncommitted writes (TSO, RP) let a
+// transaction read a state that only a later cascade would reject; an error
+// the transaction derived from such a state must not reach the caller.
+func (tx *Tx) readFromAborted() bool {
+	if tx.finished || !tx.t.HasDeps() {
+		return false
+	}
+	timer := time.NewTimer(tx.e.opts.LockTimeout)
+	defer timer.Stop()
+	for _, d := range tx.t.Deps() {
+		if !d.Read {
+			continue
+		}
+		select {
+		case <-d.T.Done():
+		case <-timer.C:
+			return false
+		}
+		if d.T.State() == core.Aborted {
+			return true
+		}
+	}
+	return false
 }
 
 // Rollback aborts the transaction. cause is recorded in the abort stats

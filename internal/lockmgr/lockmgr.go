@@ -9,7 +9,9 @@
 //     the owning CC node never conflict (nexus-lock semantics, §3.3.2) —
 //     their conflicts are the child's responsibility;
 //   - timeout-based deadlock resolution (§4.4.1): waits abort with
-//     core.ErrTimeout when they exceed the configured bound;
+//     core.ErrTimeout when they exceed the configured bound; the youngest
+//     member of a waits-for cycle (core.Txn.Await) aborts with
+//     core.ErrConflict instead of burning the timeout;
 //   - blocking-event reporting to the performance profiler (§5.3.2).
 //
 // Acquiring a lock after a wait records ordering dependencies on the owners
@@ -52,16 +54,8 @@ type shard struct {
 type lock struct {
 	owners  map[*core.Txn]Mode
 	waiters int
-	// upgrading marks owners currently waiting to upgrade Shared ->
-	// Exclusive. Two such owners deadlock unresolvably (each waits for the
-	// other's Shared hold); the set lets the conflict be detected and
-	// killed instantly instead of burning the full lock timeout — under
-	// retry-loop clients the timeout path livelocks: both upgraders time
-	// out together, retry, re-read (Shared never blocks), and re-deadlock,
-	// while every other transaction touching the row piles up behind them.
-	upgrading map[*core.Txn]bool
-	// gen is closed and replaced whenever the owner set shrinks (or an
-	// upgrader joins the wait), waking waiters to re-check compatibility.
+	// gen is closed and replaced whenever the owner set shrinks, waking
+	// waiters to re-check compatibility.
 	gen chan struct{}
 }
 
@@ -115,12 +109,6 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 		}
 	}
 
-	cleanupUpgrade := func(l *lock) {
-		if l.upgrading != nil {
-			delete(l.upgrading, txn)
-		}
-	}
-
 	for {
 		s.mu.Lock()
 		l := s.locks[k]
@@ -128,15 +116,11 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 			l = &lock{owners: make(map[*core.Txn]Mode, 2), gen: make(chan struct{})}
 			s.locks[k] = l
 		}
-		if held, ok := l.owners[txn]; ok && (held == Exclusive || held == m) {
-			cleanupUpgrade(l)
+		held, holds := l.owners[txn]
+		if holds && (held == Exclusive || held == m) {
 			s.mu.Unlock()
 			flush(time.Now())
 			return nil
-		}
-		upgrade := false
-		if held, ok := l.owners[txn]; ok && held == Shared && m == Exclusive {
-			upgrade = true
 		}
 		var conflictOwner *core.Txn
 		for o, om := range l.owners {
@@ -145,43 +129,11 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 				break
 			}
 		}
-		if upgrade && conflictOwner != nil {
-			// Another Shared holder also waiting to upgrade means an
-			// unresolvable deadlock: kill the younger upgrader now
-			// (ErrConflict is retryable; the retry re-reads and re-queues
-			// with a fresh, larger ID, so the oldest upgrader always
-			// wins and the pair resolves in microseconds, not timeouts).
-			for o, om := range l.owners {
-				if o != txn && om == Shared && l.upgrading[o] &&
-					t.conflicts(o, om, txn, m) && txn.ID > o.ID {
-					cleanupUpgrade(l)
-					s.mu.Unlock()
-					flush(time.Now())
-					return core.ErrConflict
-				}
-			}
-			// We will wait: publish the upgrade and wake current waiters
-			// so a younger sleeping upgrader re-checks and kills itself.
-			if l.upgrading == nil {
-				l.upgrading = make(map[*core.Txn]bool, 2)
-			}
-			if !l.upgrading[txn] {
-				l.upgrading[txn] = true
-				close(l.gen)
-				l.gen = make(chan struct{})
-			}
-		}
 		if conflictOwner == nil {
-			cleanupUpgrade(l)
-			// Grant; record ordering dependencies on remaining
-			// non-exempt owners (pure rw compatibility: S after S
-			// needs no edge).
-			if held, ok := l.owners[txn]; !ok || m == Exclusive && held == Shared {
-				l.owners[txn] = m
-			}
+			// Grant (or upgrade Shared -> Exclusive).
+			l.owners[txn] = m
 			s.mu.Unlock()
-			now := time.Now()
-			flush(now)
+			flush(time.Now())
 			return nil
 		}
 		gen := l.gen
@@ -195,45 +147,34 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 		}
 		// The conflicting owner must finish (or step-release) before
 		// us: a lock-order dependency.
-		if err := txn.AddDep(conflictOwner, false); err != nil {
-			t.doneWaiting(s, k, txn, true)
+		err := txn.AddDep(conflictOwner, false)
+		if err == nil {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(t.env.LockTimeout)
+			}
+			if remain := time.Until(deadline); remain > 0 {
+				// Two Shared holders both upgrading wait on each
+				// other: Await kills the younger, as any waits-for
+				// cycle, instead of letting both burn the timeout
+				// and re-deadlock on retry.
+				err = txn.Await(conflictOwner, gen, nil, remain)
+			} else {
+				err = core.ErrTimeout
+			}
+		}
+		t.doneWaiting(s, k)
+		if err != nil {
 			flush(time.Now())
 			return err
 		}
-
-		if deadline.IsZero() {
-			deadline = time.Now().Add(t.env.LockTimeout)
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			t.doneWaiting(s, k, txn, true)
-			flush(time.Now())
-			return core.ErrTimeout
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-gen:
-			timer.Stop()
-		case <-timer.C:
-			t.doneWaiting(s, k, txn, true)
-			flush(time.Now())
-			return core.ErrTimeout
-		}
-		// Keep any upgrade mark across the re-check loop: the wait
-		// continues until granted or terminal.
-		t.doneWaiting(s, k, txn, false)
 	}
 }
 
-// doneWaiting retires one wait registration; terminal additionally clears
-// txn's published upgrade-wait mark (the wait will not resume).
-func (t *Table) doneWaiting(s *shard, k core.Key, txn *core.Txn, terminal bool) {
+// doneWaiting retires one wait registration.
+func (t *Table) doneWaiting(s *shard, k core.Key) {
 	s.mu.Lock()
 	if l := s.locks[k]; l != nil {
 		l.waiters--
-		if terminal && l.upgrading != nil {
-			delete(l.upgrading, txn)
-		}
 		if l.waiters == 0 && len(l.owners) == 0 {
 			delete(s.locks, k)
 		}
@@ -249,9 +190,6 @@ func (t *Table) Release(txn *core.Txn, k core.Key) {
 	if l != nil {
 		if _, ok := l.owners[txn]; ok {
 			delete(l.owners, txn)
-			if l.upgrading != nil {
-				delete(l.upgrading, txn)
-			}
 			close(l.gen)
 			l.gen = make(chan struct{})
 			if l.waiters == 0 && len(l.owners) == 0 {

@@ -92,6 +92,49 @@ func TestTimeoutResolvesDeadlock(t *testing.T) {
 	}
 }
 
+// TestWaitCycleAbortsYoungest: a cross-key deadlock (a holds k1 and wants
+// k2, b holds k2 and wants k1) resolves at once, not at the lock timeout:
+// the younger transaction gets a retryable conflict, whichever of the two
+// closed the cycle, and the older one is granted its lock once the loser
+// releases.
+func TestWaitCycleAbortsYoungest(t *testing.T) {
+	for _, olderClosesCycle := range []bool{false, true} {
+		tbl := New(env(10*time.Second), nil) // resolution must not come from the timeout
+		k1, k2 := core.K("t", "1"), core.K("t", "2")
+		a, b := txn(1, "a"), txn(2, "b") // a is older
+		if err := tbl.Acquire(a, k1, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Acquire(b, k2, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		aErr, bErr := make(chan error, 1), make(chan error, 1)
+		if olderClosesCycle {
+			go func() { bErr <- tbl.Acquire(b, k1, Exclusive) }()
+			time.Sleep(20 * time.Millisecond)
+			go func() { aErr <- tbl.Acquire(a, k2, Exclusive) }()
+		} else {
+			go func() { aErr <- tbl.Acquire(a, k2, Exclusive) }()
+			time.Sleep(20 * time.Millisecond)
+			go func() { bErr <- tbl.Acquire(b, k1, Exclusive) }()
+		}
+		select {
+		case err := <-bErr:
+			if !errors.Is(err, core.ErrConflict) {
+				t.Fatalf("olderClosesCycle=%v: younger got %v, want ErrConflict", olderClosesCycle, err)
+			}
+		case err := <-aErr:
+			t.Fatalf("olderClosesCycle=%v: older finished first with %v", olderClosesCycle, err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("olderClosesCycle=%v: deadlock not broken", olderClosesCycle)
+		}
+		tbl.Release(b, k2) // the loser aborts
+		if err := <-aErr; err != nil {
+			t.Fatalf("olderClosesCycle=%v: older got %v", olderClosesCycle, err)
+		}
+	}
+}
+
 func TestUpgrade(t *testing.T) {
 	tbl := New(env(time.Second), nil)
 	k := core.K("t", "x")

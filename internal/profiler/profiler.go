@@ -25,7 +25,7 @@ const shards = 16
 // Profiler collects blocking events. It implements core.BlockReporter.
 // Collection is windowed: Window() drains the buffers for analysis.
 type Profiler struct {
-	enabled bool // set before use; reads are racy-but-safe (bool)
+	enabled bool // fixed at construction, so reads need no synchronization
 	bufs    [shards]buf
 }
 
@@ -38,9 +38,6 @@ type buf struct {
 func New(enabled bool) *Profiler {
 	return &Profiler{enabled: enabled}
 }
-
-// SetEnabled toggles collection (the profiling-overhead experiment).
-func (p *Profiler) SetEnabled(on bool) { p.enabled = on }
 
 // Enabled reports whether collection is on.
 func (p *Profiler) Enabled() bool { return p.enabled }

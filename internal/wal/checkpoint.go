@@ -84,10 +84,14 @@ func snapshotPath(dir string, ck uint64, shard int) string {
 // every transaction with commitTS <= snapTS has fully finished and that its
 // writes are contained in the entries (the engine derives both from the GC
 // watermark). Concurrent commits are safe: their records carry commit
-// timestamps above the cut and stay in the log tail.
+// timestamps above the cut and stay in the log tail. After Close it fails
+// with ErrClosed.
 func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*CheckpointResult, error) {
 	m.ckMu.Lock()
 	defer m.ckMu.Unlock()
+	if m.closed {
+		return nil, ErrClosed
+	}
 	if len(perShard) != len(m.stores) {
 		return nil, fmt.Errorf("wal: checkpoint got %d shard snapshots, have %d shards", len(perShard), len(m.stores))
 	}
@@ -109,28 +113,14 @@ func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*Checkp
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[0:8], ck)
 	binary.LittleEndian.PutUint64(payload[8:16], snapTS)
-	m.closeMu.RLock()
-	epoch := m.epoch.Load()
-	if m.closed {
-		m.closeMu.RUnlock()
-		// Pipeline shut down: write the markers directly.
-		for i, st := range m.stores {
-			if err := st.Set(fmt.Sprintf("ck/%d", i), payload); err != nil {
-				return nil, err
-			}
-			if err := st.Sync(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		tk := newTicket(int32(len(m.appenders)))
-		for _, a := range m.appenders {
-			a.ch <- appendReq{kind: recCheckpoint, payload: payload, epoch: epoch, tk: tk}
-		}
-		m.closeMu.RUnlock()
-		if err := tk.Wait(); err != nil {
-			return nil, err
-		}
+	// No closeMu: the markers carry no epoch, and holding ckMu keeps Close
+	// from closing the queues until this checkpoint is done.
+	tk := newTicket(int32(len(m.appenders)))
+	for _, a := range m.appenders {
+		a.ch <- appendReq{kind: recCheckpoint, payload: payload, tk: tk}
+	}
+	if err := tk.Wait(); err != nil {
+		return nil, err
 	}
 	m.hook("ck.frontier")
 
@@ -176,40 +166,23 @@ func (m *Manager) coveredTxns(snapTS uint64) map[uint64]bool {
 	committed := map[uint64]bool{} // any commit record, regardless of TS
 	for _, st := range m.stores {
 		st.ForEach(func(key string, value []byte) error {
-			switch {
-			case strings.HasPrefix(key, "c/"):
-				id, err := strconv.ParseUint(key[2:], 10, 64)
-				if err != nil || len(value) < 16 {
-					return nil
-				}
-				committed[id] = true
-				if binary.LittleEndian.Uint64(value[0:8]) <= snapTS {
-					covered[id] = true
-				}
-			case strings.HasPrefix(key, "a/"):
-				rest := key[2:]
-				if i := strings.IndexByte(rest, '/'); i > 0 {
-					rest = rest[:i]
-				}
-				if id, err := strconv.ParseUint(rest, 10, 64); err == nil {
-					aborted[id] = true
-				}
-			case strings.HasPrefix(key, "b/"):
-				entries, err := decodeBatch(value)
-				if err != nil {
-					return nil
-				}
-				for _, e := range entries {
-					switch {
-					case e.kind == recCommit && len(e.payload) >= 24:
-						id := binary.LittleEndian.Uint64(e.payload[0:8])
-						committed[id] = true
-						if binary.LittleEndian.Uint64(e.payload[8:16]) <= snapTS {
-							covered[id] = true
-						}
-					case e.kind == recAbort && len(e.payload) >= 8:
-						aborted[binary.LittleEndian.Uint64(e.payload[0:8])] = true
+			if !strings.HasPrefix(key, "b/") {
+				return nil
+			}
+			entries, err := decodeBatch(value)
+			if err != nil {
+				return nil
+			}
+			for _, e := range entries {
+				switch {
+				case e.kind == recCommit && len(e.payload) >= 24:
+					id := binary.LittleEndian.Uint64(e.payload[0:8])
+					committed[id] = true
+					if binary.LittleEndian.Uint64(e.payload[8:16]) <= snapTS {
+						covered[id] = true
 					}
+				case e.kind == recAbort && len(e.payload) >= 8:
+					aborted[binary.LittleEndian.Uint64(e.payload[0:8])] = true
 				}
 			}
 			return nil
@@ -223,43 +196,30 @@ func (m *Manager) coveredTxns(snapTS uint64) map[uint64]bool {
 	return covered
 }
 
-// compactRecord decides one log record's fate under compaction: drop
-// individual precommit/commit/abort records of covered transactions, filter
-// covered entries out of coalesced batch records, keep everything else
-// (epoch markers, checkpoint markers). Precommit, commit and abort payloads
-// all lead with the transaction id.
+// compactRecord decides one log record's fate under compaction: filter
+// covered entries out of batch records, keep everything else (epoch
+// markers, checkpoint markers). Precommit, commit and abort payloads all
+// lead with the transaction id.
 func compactRecord(key string, value []byte, covered map[uint64]bool) ([]byte, bool) {
-	switch {
-	case strings.HasPrefix(key, "p/"), strings.HasPrefix(key, "a/"):
-		rest := key[2:]
-		if i := strings.IndexByte(rest, '/'); i > 0 {
-			rest = rest[:i]
+	if !strings.HasPrefix(key, "b/") {
+		return value, true
+	}
+	entries, err := decodeBatch(value)
+	if err != nil {
+		return value, true // undecodable: keep as-is, recovery skips it
+	}
+	kept := entries[:0]
+	for _, e := range entries {
+		if len(e.payload) >= 8 && covered[binary.LittleEndian.Uint64(e.payload[0:8])] {
+			continue
 		}
-		if id, err := strconv.ParseUint(rest, 10, 64); err == nil && covered[id] {
-			return nil, false
-		}
-	case strings.HasPrefix(key, "c/"):
-		if id, err := strconv.ParseUint(key[2:], 10, 64); err == nil && covered[id] {
-			return nil, false
-		}
-	case strings.HasPrefix(key, "b/"):
-		entries, err := decodeBatch(value)
-		if err != nil {
-			return value, true // undecodable: keep as-is, recovery skips it
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if len(e.payload) >= 8 && covered[binary.LittleEndian.Uint64(e.payload[0:8])] {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if len(kept) == 0 {
-			return nil, false
-		}
-		if len(kept) < len(entries) {
-			return encodeBatchEntries(kept), true
-		}
+		kept = append(kept, e)
+	}
+	if len(kept) == 0 {
+		return nil, false
+	}
+	if len(kept) < len(entries) {
+		return encodeBatchEntries(kept), true
 	}
 	return value, true
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -254,6 +255,34 @@ func TestCompactionReclaimsAbortedPrecommits(t *testing.T) {
 		if string(w.Value) == "orphan" {
 			t.Fatalf("aborted write recovered: %+v", w)
 		}
+	}
+}
+
+// TestCheckpointAfterCloseFails: Close ends the pipeline, and a checkpoint
+// has no other way to publish its frontier markers, so it must fail rather
+// than write to the stores.
+func TestCheckpointAfterCloseFails(t *testing.T) {
+	dir := t.TempDir()
+	m := open(t, dir, 2, true)
+	commitN(t, m, 1, 9)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(8, snapshotFor(2, 8)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint after close: %v, want ErrClosed", err)
+	}
+	if _, _, err := m.Precommit(9, map[int][]KV{0: {kv("t", "x", "v")}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("precommit after close: %v, want ErrClosed", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint after close published a manifest: %v", err)
+	}
+	st, err := Recover(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed != 8 || st.SnapshotTS != 0 {
+		t.Fatalf("committed=%d snapshotTS=%d", st.Committed, st.SnapshotTS)
 	}
 }
 

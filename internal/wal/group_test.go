@@ -2,10 +2,14 @@ package wal
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/kvstore"
 )
 
 // TestGroupCommitCoalesces drives many concurrent synchronous committers
@@ -190,42 +194,42 @@ func TestSyncCommitRecoverableBeforeEpochTick(t *testing.T) {
 	}
 }
 
-// TestMixedLegacyAndBatchedRecords verifies recovery replays individual
-// p/ and c/ records alongside coalesced b/ batch records.
-func TestMixedLegacyAndBatchedRecords(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 1, true)
-	// Legacy-format transaction written directly to the store.
-	rec := encodePrecommit(1, m.Epoch(), 1, []KV{kv("t", "legacy", "old")})
-	if err := m.stores[0].Set("p/1/0", rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(1, 10, m.Epoch(), newTicket(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Pipeline transaction.
-	epoch, tk, err := m.Precommit(2, map[int][]KV{0: {kv("t", "batched", "new")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(2, 20, epoch, tk); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
+// TestRecoverRejectsUnbatchedRecords: the pipeline writes only batch (b/),
+// epoch (e/) and checkpoint (ck/) keys. Recovery must fail on a log holding
+// any other key — such as an individual precommit, commit or abort record
+// in the pre-pipeline format — rather than skip it and silently drop the
+// commits it carries.
+func TestRecoverRejectsUnbatchedRecords(t *testing.T) {
+	for _, key := range []string{"p/1/0", "c/1", "a/1/0"} {
+		dir := t.TempDir()
+		m := open(t, dir, 1, true)
+		epoch, tk, err := m.Precommit(2, map[int][]KV{0: {kv("t", "batched", "new")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(2, 20, epoch, tk); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir, 1); err != nil {
+			t.Fatalf("clean log: %v", err)
+		}
 
-	st, err := Recover(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Committed != 2 {
-		t.Fatalf("committed=%d discarded=%d", st.Committed, st.Discarded)
-	}
-	got := map[string]string{}
-	for _, w := range st.Writes {
-		got[w.Key.Row] = string(w.Value)
-	}
-	if got["legacy"] != "old" || got["batched"] != "new" {
-		t.Fatalf("writes %v", got)
+		st, err := kvstore.Open(filepath.Join(dir, "ds-000.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Set(key, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir, 1); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("%s: recovery error %v, want a rejection naming the key", key, err)
+		}
 	}
 }
 

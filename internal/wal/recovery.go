@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -35,8 +34,8 @@ type RecoveredState struct {
 	// SnapshotKeys is the number of keys seeded from the checkpoint
 	// snapshot.
 	SnapshotKeys int
-	// Replayed counts the individual log records (precommit and commit,
-	// batch entries included) replayed from the log tail. With
+	// Replayed counts the precommit and commit entries of batch records
+	// replayed from the log tail. With
 	// checkpointing enabled this stays proportional to the post-frontier
 	// tail, not to the full history.
 	Replayed int
@@ -48,7 +47,10 @@ type RecoveredState struct {
 //  0. load the newest complete checkpoint snapshot, if one was published
 //     (manifest + per-shard snapshot files): it seeds the latest committed
 //     version of every covered key, and only the log tail remains;
-//  1. retrieve logs from each data server's persistent store;
+//  1. retrieve logs from each data server's persistent store — a key outside
+//     the pipeline's format (b/ batches, e/ epoch markers, ck/ checkpoint
+//     markers) fails recovery rather than being skipped, so a log written
+//     in another format can never silently lose acknowledged commits;
 //  2. reconstruct database state — discard transactions that are missing a
 //     precommit record on any participant, whose records fall beyond a
 //     server's durable epoch frontier, or that lack a coordinator commit
@@ -146,63 +148,42 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 				return nil, fmt.Errorf("wal: shard %d frontier marker %d behind manifest %d", i, id, man.ID)
 			}
 		}
-		applyPrecommit := func(value []byte) {
-			p, err := decodePrecommit(value)
-			if err != nil {
-				return // torn record: skip
-			}
-			out.Replayed++
-			t := get(p.txnID)
-			t.precommits++
-			t.nShards = p.nShards
-			t.writes = append(t.writes, p.writes...)
-			if p.epoch > frontier {
-				t.epochOK = false
-			}
-		}
-		applyCommit := func(id, commitTS, epoch uint64) {
-			out.Replayed++
-			t := get(id)
-			t.commitTS = commitTS
-			if epoch > frontier {
-				t.epochOK = false
-			} else {
-				t.committed = true
-			}
-		}
 		err = st.ForEach(func(key string, value []byte) error {
 			switch {
-			case strings.HasPrefix(key, "b/"):
-				// Coalesced group-commit batch: replay each entry
-				// as an individual record.
-				entries, err := decodeBatch(value)
-				if err != nil {
-					return nil // torn batch: skip
-				}
-				for _, e := range entries {
-					switch e.kind {
-					case recPrecommit:
-						applyPrecommit(e.payload)
-					case recCommit:
-						if len(e.payload) < 24 {
-							continue
-						}
-						applyCommit(
-							binary.LittleEndian.Uint64(e.payload[0:8]),
-							binary.LittleEndian.Uint64(e.payload[8:16]),
-							binary.LittleEndian.Uint64(e.payload[16:24]))
+			case strings.HasPrefix(key, "e/"), strings.HasPrefix(key, "ck/"):
+				return nil // markers, read above
+			case !strings.HasPrefix(key, "b/"):
+				return fmt.Errorf("wal: shard %d log holds record %q outside the batch format", i, key)
+			}
+			entries, err := decodeBatch(value)
+			if err != nil {
+				return nil // torn batch: skip
+			}
+			for _, e := range entries {
+				switch {
+				case e.kind == recPrecommit:
+					p, err := decodePrecommit(e.payload)
+					if err != nil {
+						continue // torn record: skip
+					}
+					out.Replayed++
+					t := get(p.txnID)
+					t.precommits++
+					t.nShards = p.nShards
+					t.writes = append(t.writes, p.writes...)
+					if p.epoch > frontier {
+						t.epochOK = false
+					}
+				case e.kind == recCommit && len(e.payload) >= 24:
+					out.Replayed++
+					t := get(binary.LittleEndian.Uint64(e.payload[0:8]))
+					t.commitTS = binary.LittleEndian.Uint64(e.payload[8:16])
+					if binary.LittleEndian.Uint64(e.payload[16:24]) > frontier {
+						t.epochOK = false
+					} else {
+						t.committed = true
 					}
 				}
-			case strings.HasPrefix(key, "p/"):
-				applyPrecommit(value)
-			case strings.HasPrefix(key, "c/"):
-				id, err := strconv.ParseUint(key[2:], 10, 64)
-				if err != nil || len(value) < 16 {
-					return nil
-				}
-				applyCommit(id,
-					binary.LittleEndian.Uint64(value[0:8]),
-					binary.LittleEndian.Uint64(value[8:16]))
 			}
 			return nil
 		})

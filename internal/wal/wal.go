@@ -21,12 +21,14 @@
 //     single Set and — under SyncCommit — a single fsync shared by every
 //     committer in the batch, so the log never throttles concurrency
 //     control even when commit notification is coupled to durability.
-//   - Recovery retrieves the logs, replays both coalesced batch records
-//     and individual records, discards transactions with missing
-//     precommit records or with an epoch beyond a server's durable
-//     frontier, and reconstructs the latest committed version of every key;
-//     CC-internal state is rebuilt implicitly (the fresh CC tree treats
-//     recovered data as committed history).
+//   - The pipeline is the only write path: after Close, staging fails
+//     with ErrClosed instead of writing to the stores.
+//   - Recovery retrieves the logs, replays every entry of the coalesced
+//     batch records, discards transactions with missing precommit records
+//     or with an epoch beyond a server's durable frontier, and
+//     reconstructs the latest committed version of every key; CC-internal
+//     state is rebuilt implicitly (the fresh CC tree treats recovered data
+//     as committed history).
 //
 // Persistence is outsourced to internal/kvstore through a key-value
 // interface, as the paper outsources it to Redis/RocksDB.
@@ -34,6 +36,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -64,10 +67,6 @@ type Options struct {
 	// MaxBatch bounds how many records one appender coalesces into a
 	// single batch append (default 256).
 	MaxBatch int
-	// MaxDelay, when > 0, holds a forming batch open to accumulate more
-	// committers before flushing. Default 0: batching is purely natural
-	// (whatever queued while the previous batch was being flushed).
-	MaxDelay time.Duration
 	// Observer, when non-nil, is called after every coalesced batch
 	// append with the number of records, the append(+flush) latency and
 	// any error. The engine wires this to its batch-size / flush-latency
@@ -97,7 +96,6 @@ type Manager struct {
 	stores    []*kvstore.Store
 	appenders []*appender
 	maxBatch  int
-	maxDelay  time.Duration
 	seq       atomic.Uint64
 	epoch     atomic.Uint64
 
@@ -105,24 +103,24 @@ type Manager struct {
 	durableEpoch uint64
 	durableCond  *sync.Cond
 
-	// closeMu serializes pipeline submission against epoch seals and
-	// Close. Stagers (Precommit/Commit) hold the read side across the
-	// epoch read AND the channel sends, so a record carrying epoch e is
-	// always in its appender's queue before flushEpoch — which holds the
-	// write side while advancing the epoch and enqueueing the seal
-	// requests — can seal e; FIFO then guarantees the record is flushed
-	// before the durable frontier covers it. Close also holds the write
-	// side while marking the pipeline closed and closing the appender
-	// queues; after close, submissions fall back to direct synchronous
-	// appends. Checkpoint stages frontier markers through the pipeline
-	// while holding ckMu, so the read side nests inside it.
+	// closeMu orders pipeline submission against epoch seals and Close.
+	// Stagers (Precommit/Commit/Abort) hold the read side across the
+	// closed check, the epoch read AND the channel sends, so a record
+	// carrying epoch e is always in its appender's queue before
+	// flushEpoch — which holds the write side while advancing the epoch
+	// and enqueueing the seal requests — can seal e; FIFO then guarantees
+	// the record is flushed before the durable frontier covers it. Close
+	// marks the manager closed holding both ckMu and the write side; from
+	// then on every stager and Checkpoint fails with ErrClosed, so nothing
+	// is sent after the final seal and the appender queues can close.
 	//
 	// tebaldi:locks after wal.Manager.ckMu
 	closeMu sync.RWMutex
-	closed  bool
+	closed  bool // written under ckMu and closeMu; read under either
 
-	// ckMu serializes checkpoints; ckSeq is the last completed checkpoint
-	// id (resumed from the manifest on reopen).
+	// ckMu serializes checkpoints (and Close against a running one);
+	// ckSeq is the last completed checkpoint id (resumed from the
+	// manifest on reopen).
 	ckMu  sync.Mutex
 	ckSeq uint64
 
@@ -143,7 +141,6 @@ func Open(opts Options) (*Manager, error) {
 	if m.maxBatch <= 0 {
 		m.maxBatch = 256
 	}
-	m.maxDelay = opts.MaxDelay
 	m.durableCond = sync.NewCond(&m.mu)
 	for i := 0; i < opts.Shards; i++ {
 		st, err := kvstore.Open(filepath.Join(opts.Dir, fmt.Sprintf("ds-%03d.log", i)))
@@ -231,41 +228,20 @@ func (m *Manager) DurableEpoch() uint64 {
 // plus the Ticket tracking the transaction's records through the pipeline.
 // writesByShard maps data server index -> the transaction's writes owned by
 // that server. The ticket is sized for the precommit records plus the
-// coordinator commit record that Commit enqueues later.
+// coordinator commit record that Commit enqueues later. After Close it
+// stages nothing and fails with ErrClosed; the caller aborts.
 func (m *Manager) Precommit(txnID uint64, writesByShard map[int][]KV) (uint64, *Ticket, error) {
 	n := len(writesByShard)
-	tk := newTicket(int32(n) + 1)
 	m.closeMu.RLock()
+	if m.closed {
+		m.closeMu.RUnlock()
+		return 0, nil, ErrClosed
+	}
 	// The epoch MUST be read under the stage/seal lock: otherwise a seal
 	// of this epoch could slip between the read and the sends, and the
 	// records would miss the flush their epoch promises.
 	epoch := m.epoch.Load()
-	if m.closed {
-		m.closeMu.RUnlock()
-		// Pipeline shut down (close racing a late committer): append
-		// directly, as the pre-pipeline protocol did.
-		var first error
-		done := 0
-		for shard, kvs := range writesByShard {
-			rec := encodePrecommit(txnID, epoch, n, kvs)
-			err := m.stores[shard].Set(fmt.Sprintf("p/%d/%d", txnID, shard), rec)
-			tk.complete(err)
-			done++
-			if err != nil && first == nil {
-				first = err
-			}
-		}
-		if first != nil {
-			// The caller aborts; drain the ticket's remaining slots
-			// (unwritten shards + the never-staged commit record) so
-			// Wait/Done can never hang on this ticket.
-			for ; done < n+1; done++ {
-				tk.complete(first)
-			}
-			return 0, tk, first
-		}
-		return epoch, tk, nil
-	}
+	tk := newTicket(int32(n) + 1)
 	for shard, kvs := range writesByShard {
 		m.appenders[shard].ch <- appendReq{
 			kind:    recPrecommit,
@@ -286,10 +262,18 @@ func (m *Manager) Precommit(txnID uint64, writesByShard map[int][]KV) (uint64, *
 // engine releases CC state first, then waits, so the log never throttles
 // concurrency control. Ticket.Wait returns once the transaction's whole
 // record set — precommit records included, since appenders are FIFO — is
-// appended, and flushed under SyncCommit.
+// appended, and flushed under SyncCommit. After Close the commit record is
+// never staged: Commit completes the ticket with ErrClosed and returns it,
+// and recovery discards the transaction. Callers that must not lose an
+// acknowledged commit keep Close from running between Precommit and Commit.
 func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
 	shard := int(txnID) % len(m.stores)
 	m.closeMu.RLock()
+	if m.closed {
+		m.closeMu.RUnlock()
+		tk.complete(ErrClosed)
+		return ErrClosed
+	}
 	// The participant epoch from Precommit may already be sealed by the
 	// time the commit record is staged; bump the record to the current
 	// epoch (read under the stage/seal lock) so the epoch-frontier rule
@@ -297,22 +281,6 @@ func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
 	// classified into a later, possibly unsealed epoch), never wrong.
 	if cur := m.epoch.Load(); cur > epoch {
 		epoch = cur
-	}
-	if m.closed {
-		m.closeMu.RUnlock()
-		rec := make([]byte, 16)
-		binary.LittleEndian.PutUint64(rec[0:8], commitTS)
-		binary.LittleEndian.PutUint64(rec[8:16], epoch)
-		start := time.Now()
-		err := m.stores[shard].Set(fmt.Sprintf("c/%d", txnID), rec)
-		if err == nil && m.opts.SyncCommit {
-			err = m.syncStores()
-		}
-		// Route through the observer so fallback appends share the
-		// pipeline's accounting (including the error counter).
-		m.observe(1, time.Since(start), err)
-		tk.complete(err)
-		return err
 	}
 	payload := make([]byte, 24)
 	binary.LittleEndian.PutUint64(payload[0:8], txnID)
@@ -329,19 +297,16 @@ func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
 // point). Recovery discards commit-less transactions either way; the marker
 // exists so checkpoint compaction can reclaim the orphaned precommit
 // records instead of carrying them forever. Fire-and-forget: nothing waits
-// on the staged records.
+// on the staged records. After Close it stages nothing.
 func (m *Manager) Abort(txnID uint64, shards []int) {
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint64(payload, txnID)
 	m.closeMu.RLock()
-	epoch := m.epoch.Load()
 	if m.closed {
 		m.closeMu.RUnlock()
-		for _, shard := range shards {
-			m.stores[shard].Set(fmt.Sprintf("a/%d/%d", txnID, shard), payload)
-		}
 		return
 	}
+	epoch := m.epoch.Load()
 	tk := newTicket(int32(len(shards)))
 	for _, shard := range shards {
 		m.appenders[shard].ch <- appendReq{kind: recAbort, payload: payload, epoch: epoch, tk: tk}
@@ -378,53 +343,26 @@ func (m *Manager) flusher() {
 	}
 }
 
-// syncStores flushes and fsyncs every store (closed-pipeline fallback).
-func (m *Manager) syncStores() error {
-	for _, st := range m.stores {
-		if err := st.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (m *Manager) flushEpoch() error {
 	// Advance the epoch and enqueue the seals under the write side of
 	// the stage/seal lock: stagers read the epoch and send their records
 	// under the read side, so every record carrying epoch <= cur is
 	// already in its appender's queue (FIFO, ahead of the seal) —
 	// otherwise WaitDurable(cur) would lie.
+	// The seal is sent even after Close has marked the manager closed:
+	// Close closes the appender queues only once the flusher has exited.
 	m.closeMu.Lock()
 	cur := m.epoch.Add(1) - 1 // seal epoch `cur`, open the next
-	if m.closed {
-		m.closeMu.Unlock()
-		// Pipeline shut down: seal directly (the appenders have
-		// drained and exited).
-		for i, st := range m.stores {
-			if err := st.Sync(); err != nil {
-				return err
-			}
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], cur)
-			if err := st.Set(fmt.Sprintf("e/%d", i), buf[:]); err != nil {
-				return err
-			}
-			if err := st.Sync(); err != nil {
-				return err
-			}
-		}
-	} else {
-		tk := newTicket(int32(len(m.appenders)))
-		for _, a := range m.appenders {
-			a.ch <- appendReq{kind: recSeal, epoch: cur, tk: tk}
-		}
-		m.closeMu.Unlock()
-		// Wait outside the lock: the appenders do the flushing, and
-		// stagers must be free to pile the next epoch's records in
-		// behind the seals meanwhile.
-		if err := tk.Wait(); err != nil {
-			return err
-		}
+	tk := newTicket(int32(len(m.appenders)))
+	for _, a := range m.appenders {
+		a.ch <- appendReq{kind: recSeal, epoch: cur, tk: tk}
+	}
+	m.closeMu.Unlock()
+	// Wait outside the lock: the appenders do the flushing, and stagers
+	// must be free to pile the next epoch's records in behind the seals
+	// meanwhile.
+	if err := tk.Wait(); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	if cur > m.durableEpoch {
@@ -435,23 +373,28 @@ func (m *Manager) flushEpoch() error {
 	return nil
 }
 
-// Close drains the group-commit pipeline, flushes outstanding records and
-// closes the stores.
+// ErrClosed is returned by Precommit, Commit and Checkpoint after Close.
+var ErrClosed = errors.New("wal: closed")
+
+// Close shuts the pipeline down: it waits for a running checkpoint, refuses
+// further staging, lets the flusher run the final epoch seal over every
+// record already queued, then drains and stops the appenders and closes the
+// stores.
 func (m *Manager) Close() error {
-	select {
-	case <-m.stop:
-	default:
-		close(m.stop)
-	}
-	<-m.done // flusher has run the final flushEpoch (incl. barrier)
+	m.ckMu.Lock()
 	m.closeMu.Lock()
-	if !m.closed {
-		m.closed = true
-		for _, a := range m.appenders {
-			close(a.ch)
-		}
-	}
+	wasClosed := m.closed
+	m.closed = true
 	m.closeMu.Unlock()
+	m.ckMu.Unlock()
+	if wasClosed {
+		return nil
+	}
+	close(m.stop)
+	<-m.done // flusher has run the final flushEpoch
+	for _, a := range m.appenders {
+		close(a.ch)
+	}
 	for _, a := range m.appenders {
 		<-a.exited
 	}

@@ -76,13 +76,21 @@ func TestRecoverDiscardsMissingCommitRecord(t *testing.T) {
 func TestRecoverDiscardsIncompletePrecommits(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 2, true)
-	// Claim two participating shards but only log one precommit (as if
-	// the second data server crashed before persisting).
-	rec := encodePrecommit(5, m.Epoch(), 2, []KV{kv("t", "x", "v")})
-	if err := m.stores[0].Set("p/5/0", rec); err != nil {
+	// Claim two participating shards but stage only shard 0's precommit
+	// through its appender (as if the second data server crashed before
+	// persisting); the commit record follows through the pipeline too.
+	epoch := m.Epoch()
+	tk := newTicket(2)
+	m.appenders[0].ch <- appendReq{
+		kind:    recPrecommit,
+		payload: encodePrecommit(5, epoch, 2, []KV{kv("t", "x", "v")}),
+		epoch:   epoch,
+		tk:      tk,
+	}
+	if err := m.Commit(5, 50, epoch, tk); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Commit(5, 50, m.Epoch(), newTicket(1)); err != nil {
+	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()

@@ -250,5 +250,6 @@ func (db *DB) AutoConfigure(opts AutoConfigOptions) (*autoconf.Result, error) {
 // AutoConfigOptions re-exports the automatic configurator's options.
 type AutoConfigOptions = autoconf.Options
 
-// Close stops background services and flushes logs.
+// Close stops background services and flushes logs. With durability on, a
+// writing transaction that reaches its commit after Close aborts.
 func (db *DB) Close() error { return db.eng.Close() }
