@@ -21,15 +21,27 @@ type RP struct {
 
 // slot is the per-transaction pipeline state.
 type slot struct {
-	mu   sync.Mutex
-	cur  int32 // current step (atomic via Load/Store on curAtomic)
-	gen  chan struct{}
-	held map[core.Key]lockmgr.Mode
+	mu sync.Mutex
+	// gen is made by the first successor to wait on this transaction's
+	// step and closed (then cleared) when the step advances. Nil while
+	// nobody waits, so a step advance makes no channel.
+	gen chan struct{}
+	// held lists the intra-step locks of the current step. Only the
+	// owner goroutine touches it (operations, Commit and Abort all run
+	// there), so it needs no mutex; its backing array is reused across
+	// steps.
+	held []heldLock
 	// written tracks versions installed in the current (not yet
 	// step-committed) step.
 	written []*core.Version
 
 	curAtomic atomic.Int32
+}
+
+// heldLock is one intra-step lock and the mode it is held in.
+type heldLock struct {
+	k core.Key
+	m lockmgr.Mode
 }
 
 // step returns the transaction's current pipeline step.
@@ -47,19 +59,28 @@ func (s *slot) exposeWrites() {
 	s.mu.Unlock()
 }
 
-// advanceTo publishes the new step and wakes entry waiters.
+// advanceTo publishes the new step and wakes entry waiters. The step is
+// stored under s.mu before gen is closed, so a waiter that took gen before
+// the store is woken, and one that takes it after sees the new step on its
+// re-check.
 func (s *slot) advanceTo(r int) {
 	s.exposeWrites()
 	s.mu.Lock()
 	s.curAtomic.Store(int32(r))
-	old := s.gen
-	s.gen = make(chan struct{})
+	if s.gen != nil {
+		close(s.gen)
+		s.gen = nil
+	}
 	s.mu.Unlock()
-	close(old)
 }
 
+// waitCh returns the channel closed at the next step advance, making it if
+// this is the first waiter since the last advance.
 func (s *slot) waitCh() chan struct{} {
 	s.mu.Lock()
+	if s.gen == nil {
+		s.gen = make(chan struct{})
+	}
 	ch := s.gen
 	s.mu.Unlock()
 	return ch
@@ -95,8 +116,7 @@ func (r *RP) Pipeline() *Analysis { return r.analysis }
 
 // Begin implements core.CC.
 func (r *RP) Begin(t *core.Txn) error {
-	s := &slot{gen: make(chan struct{}), held: make(map[core.Key]lockmgr.Mode, 8)}
-	t.Slots[r.node.Depth] = s
+	t.Slots[r.node.Depth] = &slot{}
 	return nil
 }
 
@@ -125,28 +145,20 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 	}
 	if target > s.step() {
 		// Step-commit everything below target: expose writes first,
-		// then release step locks so successors may proceed.
+		// then release step locks so successors may proceed. Every
+		// held lock goes: ranks are monotone, so each was taken at a
+		// rank no greater than the current step, which is below target
+		// (a table unknown to the analysis has rank 0 here).
 		s.exposeWrites()
-		s.mu.Lock()
-		held := make([]core.Key, 0, len(s.held))
-		for k := range s.held {
-			held = append(held, k)
-		}
-		s.mu.Unlock()
-		for _, k := range held {
-			if kr := r.analysis.Rank[k.Table]; kr < target {
-				r.locks.Release(t, k)
-				s.mu.Lock()
-				delete(s.held, k)
-				s.mu.Unlock()
-			}
-		}
+		r.releaseHeld(t, s)
 		s.advanceTo(target)
 	}
 
 	// Pipeline ordering: every in-subtree dependency must have finished
-	// executing this step (advanced past it or terminated).
-	deadline := time.Now().Add(r.env.LockTimeout)
+	// executing this step (advanced past it or terminated). The deadline
+	// is computed on the first block only: an unblocked entry never
+	// queries the clock.
+	var deadline time.Time
 	for {
 		blocked := r.firstBlockingDep(t, target)
 		if blocked == nil {
@@ -160,6 +172,9 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 		// Re-check under the fresh channel to avoid lost wakeups.
 		if blocked.Finished() || ds.step() > target {
 			continue
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(r.env.LockTimeout)
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -213,19 +228,31 @@ func (r *RP) PreWrite(t *core.Txn, k core.Key) error {
 
 func (r *RP) acquire(t *core.Txn, k core.Key, m lockmgr.Mode) error {
 	s := r.slotOf(t)
-	s.mu.Lock()
-	held, ok := s.held[k]
-	s.mu.Unlock()
-	if ok && (held == lockmgr.Exclusive || held == m) {
+	i := 0
+	for i < len(s.held) && s.held[i].k != k {
+		i++
+	}
+	if i < len(s.held) && (s.held[i].m == lockmgr.Exclusive || s.held[i].m == m) {
 		return nil
 	}
 	if err := r.locks.Acquire(t, k, m); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.held[k] = m
-	s.mu.Unlock()
+	if i < len(s.held) {
+		s.held[i].m = m
+	} else {
+		s.held = append(s.held, heldLock{k: k, m: m})
+	}
 	return nil
+}
+
+// releaseHeld releases every intra-step lock t holds at this node and
+// empties the list, keeping its backing array for the next step.
+func (r *RP) releaseHeld(t *core.Txn, s *slot) {
+	for _, h := range s.held {
+		r.locks.Release(t, h.k)
+	}
+	s.held = s.held[:0]
 }
 
 // AmendRead implements core.CC. RP accepts the child's proposal if it is a
@@ -319,15 +346,6 @@ func (r *RP) finish(t *core.Txn) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	keys := make([]core.Key, 0, len(s.held))
-	for k := range s.held {
-		keys = append(keys, k)
-	}
-	s.held = map[core.Key]lockmgr.Mode{}
-	s.mu.Unlock()
-	for _, k := range keys {
-		r.locks.Release(t, k)
-	}
+	r.releaseHeld(t, s)
 	s.advanceTo(r.analysis.MaxRank + 1)
 }

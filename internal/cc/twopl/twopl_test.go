@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc/twopl"
+	"repro/internal/core"
 	"repro/tebaldi"
 )
 
@@ -253,4 +255,59 @@ func TestNexusSameChildExemption(t *testing.T) {
 	}
 	t1.Rollback(nil)
 	t2.Rollback(nil)
+}
+
+// TestAmendReadKeepsSameChildOrder: on 2PL[TSO(a1,a2), 2PL(b)], the 2PL
+// parent must not replace the TSO child's committed proposal with a newer
+// committed version written by the reader's own child: TSO may have placed
+// the reader before that write in timestamp order although the write
+// committed earlier in real time. A newer committed version from the other
+// child is the parent's to order, and does replace the proposal.
+func TestAmendReadKeepsSameChildOrder(t *testing.T) {
+	root := &core.Node{ID: 0}
+	tsoChild := &core.Node{ID: 1, Depth: 1, Parent: root, Types: []string{"a1", "a2"}}
+	bChild := &core.Node{ID: 2, Depth: 1, Parent: root, Types: []string{"b"}}
+	root.Children = []*core.Node{tsoChild, bChild}
+	root.FinalizeRouting()
+	p := twopl.New(&core.Env{LockTimeout: time.Second}, root)
+
+	newTxn := func(id uint64, typ string) *core.Txn {
+		tx := core.NewTxn(id, typ, 0, id)
+		tx.Path = root.PathFor(tx)
+		return tx
+	}
+	k := core.K("t", "x")
+	ch := core.NewChain(k)
+	write := func(tx *core.Txn, val string, commitTS uint64) *core.Version {
+		v := &core.Version{Writer: tx, Value: []byte(val)}
+		ch.Install(v)
+		if !tx.MarkCommitted(commitTS) {
+			t.Fatalf("txn %d did not commit", tx.ID)
+		}
+		return v
+	}
+
+	// The schedule: b-loader commits v0 at 1; reader r (a1) begins at 2;
+	// writer w (a2) begins at 3 and commits v1 at 4; r reads, and its TSO
+	// child proposes v0, the latest version below r's timestamp.
+	v0 := write(newTxn(1, "b"), "v0", 1)
+	r := newTxn(2, "a1")
+	write(newTxn(3, "a2"), "v1", 4)
+	got, err := p.AmendRead(r, k, ch, v0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != v0 {
+		t.Fatalf("2PL parent replaced the child's proposal v0 with %q, a same-child version", got.Value)
+	}
+
+	// A b-writer commits v2 at 5: cross-child, newer, and the parent's to
+	// order, so it replaces the proposal.
+	v2 := write(newTxn(5, "b"), "v2", 5)
+	if got, err = p.AmendRead(r, k, ch, v0); err != nil {
+		t.Fatal(err)
+	}
+	if got != v2 {
+		t.Fatalf("2PL parent returned %q, want the newer cross-child v2", got.Value)
+	}
 }

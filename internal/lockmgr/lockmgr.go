@@ -46,17 +46,77 @@ type Table struct {
 	shards [numShards]shard
 }
 
+// shard holds the records of the keys that hash to it. A key has a record
+// exactly while it has owners or waiters.
 type shard struct {
 	mu    sync.Mutex
 	locks map[core.Key]*lock
+	// free holds retired lock records for reuse, at most maxFree of them.
+	// A record is retired only when it has no owners and no waiters, so
+	// no wait registration can follow it onto another key.
+	free []*lock
 }
 
+// maxFree bounds each shard's free list: enough to absorb the records a
+// burst of short transactions retires, small enough to be noise in memory.
+const maxFree = 32
+
+// owner is one holder of a lock and the mode it holds.
+type owner struct {
+	txn  *core.Txn
+	mode Mode
+}
+
+// lock is the record of one key. Guarded by its shard's mu.
 type lock struct {
-	owners  map[*core.Txn]Mode
+	// owners lists the holders, at most one entry per transaction. It is
+	// backed by inline until a key has more than two owners.
+	owners  []owner
+	inline  [2]owner
 	waiters int
-	// gen is closed and replaced whenever the owner set shrinks, waking
-	// waiters to re-check compatibility.
+	// gen is made by the first waiter and closed (then cleared) whenever
+	// the owner set shrinks, waking waiters to re-check compatibility.
+	// Nil while nobody waits, so an uncontended grant makes no channel.
 	gen chan struct{}
+}
+
+// get returns a lock record for a key with no entry, from the free list if
+// it has one. Called with s.mu held.
+func (s *shard) get() *lock {
+	if n := len(s.free); n > 0 {
+		l := s.free[n-1]
+		s.free = s.free[:n-1]
+		return l
+	}
+	l := &lock{}
+	l.owners = l.inline[:0]
+	return l
+}
+
+// drop deletes k's record, which has no owners and no waiters, and keeps it
+// for reuse. Called with s.mu held.
+func (s *shard) drop(k core.Key, l *lock) {
+	delete(s.locks, k)
+	if len(s.free) == maxFree {
+		return
+	}
+	// Release zeroes every slot it vacates; inline may still hold the
+	// owners copied out when the list spilled to the heap. Zero it, so no
+	// *core.Txn stays reachable from a retired record, and let a spilled
+	// array go. gen is already nil: only Release empties owners.
+	l.inline = [2]owner{}
+	l.owners = l.inline[:0]
+	s.free = append(s.free, l)
+}
+
+// find returns the index of txn's entry in owners, or -1.
+func (l *lock) find(txn *core.Txn) int {
+	for i := range l.owners {
+		if l.owners[i].txn == txn {
+			return i
+		}
+	}
+	return -1
 }
 
 // New creates a lock table. exempt may be nil (no exemption: leaf 2PL).
@@ -92,7 +152,7 @@ func (t *Table) conflicts(owner *core.Txn, om Mode, txn *core.Txn, m Mode) bool 
 // are supported. Ordering dependencies on the owners waited for are recorded
 // on txn.
 func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
-	// The lock table retains the pointer (owner map; waiters hold it as
+	// The lock table retains the pointer (owner list; waiters hold it as
 	// their recorded blocker) past this call: the txn must never be pooled.
 	txn.MarkShared()
 	s := t.shardFor(k)
@@ -113,28 +173,35 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 		s.mu.Lock()
 		l := s.locks[k]
 		if l == nil {
-			l = &lock{owners: make(map[*core.Txn]Mode, 2), gen: make(chan struct{})}
+			l = s.get()
 			s.locks[k] = l
 		}
-		held, holds := l.owners[txn]
-		if holds && (held == Exclusive || held == m) {
+		i := l.find(txn)
+		if i >= 0 && (l.owners[i].mode == Exclusive || l.owners[i].mode == m) {
 			s.mu.Unlock()
 			flush(time.Now())
 			return nil
 		}
 		var conflictOwner *core.Txn
-		for o, om := range l.owners {
-			if t.conflicts(o, om, txn, m) {
-				conflictOwner = o
+		for _, o := range l.owners {
+			if t.conflicts(o.txn, o.mode, txn, m) {
+				conflictOwner = o.txn
 				break
 			}
 		}
 		if conflictOwner == nil {
 			// Grant (or upgrade Shared -> Exclusive).
-			l.owners[txn] = m
+			if i >= 0 {
+				l.owners[i].mode = m
+			} else {
+				l.owners = append(l.owners, owner{txn: txn, mode: m})
+			}
 			s.mu.Unlock()
 			flush(time.Now())
 			return nil
+		}
+		if l.gen == nil {
+			l.gen = make(chan struct{})
 		}
 		gen := l.gen
 		l.waiters++
@@ -176,7 +243,7 @@ func (t *Table) doneWaiting(s *shard, k core.Key) {
 	if l := s.locks[k]; l != nil {
 		l.waiters--
 		if l.waiters == 0 && len(l.owners) == 0 {
-			delete(s.locks, k)
+			s.drop(k, l)
 		}
 	}
 	s.mu.Unlock()
@@ -186,14 +253,18 @@ func (t *Table) doneWaiting(s *shard, k core.Key) {
 func (t *Table) Release(txn *core.Txn, k core.Key) {
 	s := t.shardFor(k)
 	s.mu.Lock()
-	l := s.locks[k]
-	if l != nil {
-		if _, ok := l.owners[txn]; ok {
-			delete(l.owners, txn)
-			close(l.gen)
-			l.gen = make(chan struct{})
+	if l := s.locks[k]; l != nil {
+		if i := l.find(txn); i >= 0 {
+			last := len(l.owners) - 1
+			l.owners[i] = l.owners[last]
+			l.owners[last] = owner{}
+			l.owners = l.owners[:last]
+			if l.gen != nil {
+				close(l.gen)
+				l.gen = nil
+			}
 			if l.waiters == 0 && len(l.owners) == 0 {
-				delete(s.locks, k)
+				s.drop(k, l)
 			}
 		}
 	}
@@ -213,9 +284,5 @@ func (t *Table) Holds(txn *core.Txn, k core.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l := s.locks[k]
-	if l == nil {
-		return false
-	}
-	_, ok := l.owners[txn]
-	return ok
+	return l != nil && l.find(txn) >= 0
 }

@@ -395,3 +395,191 @@ func (c *captureReporter) events() []core.BlockEvent {
 	defer c.mu.Unlock()
 	return append([]core.BlockEvent(nil), c.evs...)
 }
+
+// sharedHolders grants Shared on k to n fresh transactions with IDs 1..n.
+func sharedHolders(t *testing.T, tbl *Table, k core.Key, n int) []*core.Txn {
+	t.Helper()
+	out := make([]*core.Txn, n)
+	for i := range out {
+		out[i] = txn(uint64(i+1), "r")
+		if err := tbl.Acquire(out[i], k, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestManySharedHolders: the owner list holds two entries inline; a third
+// and fourth Shared holder spill it to the heap without losing anyone, and
+// a writer still conflicts with the whole set.
+func TestManySharedHolders(t *testing.T) {
+	tbl := New(env(30*time.Millisecond), nil)
+	k := core.K("t", "x")
+	rs := sharedHolders(t, tbl, k, 4)
+	for i, r := range rs {
+		if !tbl.Holds(r, k) {
+			t.Fatalf("holder %d lost its Shared hold", i)
+		}
+	}
+	w := txn(9, "w")
+	if err := tbl.Acquire(w, k, Exclusive); !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("X against four S holders: got %v, want ErrTimeout", err)
+	}
+	for _, r := range rs {
+		tbl.Release(r, k)
+	}
+	if err := tbl.Acquire(w, k, Exclusive); err != nil {
+		t.Fatalf("X after every S released: %v", err)
+	}
+}
+
+// TestReleaseMiddleHolder: releasing a holder from the middle of the owner
+// list leaves every other holder's hold intact, and the released one can
+// take the lock again.
+func TestReleaseMiddleHolder(t *testing.T) {
+	tbl := New(env(time.Second), nil)
+	k := core.K("t", "x")
+	rs := sharedHolders(t, tbl, k, 3)
+	tbl.Release(rs[1], k)
+	if !tbl.Holds(rs[0], k) || tbl.Holds(rs[1], k) || !tbl.Holds(rs[2], k) {
+		t.Fatalf("after releasing the middle holder: holds = %v %v %v, want true false true",
+			tbl.Holds(rs[0], k), tbl.Holds(rs[1], k), tbl.Holds(rs[2], k))
+	}
+	tbl.Release(rs[0], k)
+	if !tbl.Holds(rs[2], k) {
+		t.Fatal("last holder lost its hold when the first released")
+	}
+	if err := tbl.Acquire(rs[1], k, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Holds(rs[1], k) || !tbl.Holds(rs[2], k) {
+		t.Fatal("re-acquired holder or remaining holder missing")
+	}
+}
+
+// TestUpgradeAfterOthersRelease: with three Shared holders, one holder's
+// upgrade waits until both others have released, then holds Exclusive.
+func TestUpgradeAfterOthersRelease(t *testing.T) {
+	tbl := New(env(2*time.Second), nil)
+	k := core.K("t", "x")
+	rs := sharedHolders(t, tbl, k, 3)
+	up := rs[1]
+	upgraded := make(chan error, 1)
+	go func() { upgraded <- tbl.Acquire(up, k, Exclusive) }()
+	for _, other := range []*core.Txn{rs[0], rs[2]} {
+		select {
+		case err := <-upgraded:
+			t.Fatalf("upgrade granted against a live S holder: %v", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		tbl.Release(other, k)
+	}
+	if err := <-upgraded; err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Holds(up, k) || tbl.Holds(rs[0], k) || tbl.Holds(rs[2], k) {
+		t.Fatal("upgrader should be the only holder")
+	}
+	c := txn(9, "c")
+	got := make(chan error, 1)
+	go func() { got <- tbl.Acquire(c, k, Shared) }()
+	select {
+	case err := <-got:
+		t.Fatalf("S granted against the upgraded X: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	tbl.Release(up, k)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameShardKeys returns two distinct keys that hash to one shard.
+func sameShardKeys(t *testing.T) (core.Key, core.Key) {
+	t.Helper()
+	k1 := core.KeyOf("t", 0)
+	for i := 1; i < 10000; i++ {
+		if k2 := core.KeyOf("t", i); k2.Hash32()%numShards == k1.Hash32()%numShards {
+			return k1, k2
+		}
+	}
+	t.Fatal("no two keys share a shard")
+	return k1, k1
+}
+
+// TestWaitedRecordNotRecycled: a lock record with a registered waiter
+// stays the record of its key while records of another key in the same
+// shard churn through the shard's free list, and the waiter is granted the
+// lock it waited for once the holder releases.
+func TestWaitedRecordNotRecycled(t *testing.T) {
+	tbl := New(env(5*time.Second), nil)
+	k1, k2 := sameShardKeys(t)
+	s := tbl.shardFor(k1)
+	a, b := txn(1, "a"), txn(2, "b")
+	if err := tbl.Acquire(a, k1, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- tbl.Acquire(b, k1, Exclusive) }()
+	var rec *lock
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		rec = s.locks[k1]
+		waiting := rec != nil && rec.waiters == 1
+		s.mu.Unlock()
+		if waiting {
+			break
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Fatal("waiter never registered")
+		}
+	}
+
+	// Churn k2 from two goroutines in conflicting modes, so its records
+	// are retired, reused and waited on while b waits on k1.
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(c *core.Txn, m Mode) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if err := tbl.Acquire(c, k2, m); err != nil {
+					t.Error(err)
+					return
+				}
+				tbl.Release(c, k2)
+			}
+		}(txn(uint64(10+g), "c"), Mode(g))
+	}
+	wg.Wait()
+
+	s.mu.Lock()
+	same, waiters, owned := s.locks[k1] == rec, rec.waiters, rec.find(a) >= 0
+	onFree := false
+	for _, l := range s.free {
+		onFree = onFree || l == rec
+	}
+	k2live := s.locks[k2] != nil
+	s.mu.Unlock()
+	if !same || onFree || waiters != 1 || !owned {
+		t.Fatalf("k1 record reused: same=%v onFree=%v waiters=%d ownedByA=%v", same, onFree, waiters, owned)
+	}
+	if k2live {
+		t.Fatal("k2 record left behind with no owners or waiters")
+	}
+
+	tbl.Release(a, k1)
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Holds(b, k1) || tbl.Holds(a, k1) {
+		t.Fatal("waiter not granted the lock it waited for")
+	}
+	tbl.Release(b, k1)
+	s.mu.Lock()
+	left := len(s.locks)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d records left in the shard after every release", left)
+	}
+}
